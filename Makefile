@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench-smoke bench-all check-bench serve-smoke cluster-smoke obs-smoke soak-smoke soak-full lint install docs-check analyze
+.PHONY: test bench-smoke bench-all check-bench paper-smoke serve-smoke cluster-smoke obs-smoke soak-smoke soak-full lint install docs-check analyze
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,6 +34,20 @@ bench-all:
 # moves the numbers.
 check-bench: bench-all
 	$(PYTHON) tools/check_bench.py compare --runs-root benchmarks/results/perf
+
+#: The paper's own suites: Fig 2-8 accuracy, the Sec 3.3 solver, Sec 4.1
+#: compression, the Sec 7 hierarchy and extensions.
+PAPER_SUITES = benchmarks/bench_fig2_heuristics.py \
+	benchmarks/bench_fig3_domains.py benchmarks/bench_fig5_error_diff.py \
+	benchmarks/bench_fig6_fmeasure.py benchmarks/bench_fig7_particles.py \
+	benchmarks/bench_fig8_stat_selection.py benchmarks/bench_solver.py \
+	benchmarks/bench_compression_size.py benchmarks/bench_hierarchy.py \
+	benchmarks/bench_extensions.py
+
+# Paper smoke: every paper suite once at the small scale, gated only by
+# the suites' own assertions (no checked-in baselines yet).
+paper-smoke:
+	REPRO_SCALE=small $(PYTHON) -m pytest -q $(PAPER_SUITES)
 
 # Serving-layer smoke: boot the server on a tiny summary, fire 50
 # concurrent requests through the real client, assert zero errors and

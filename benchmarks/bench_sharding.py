@@ -151,7 +151,7 @@ def test_sharded_estimates_match_unsharded():
     sharded_errors = []
     for predicate in predicates:
         exact = float(relation.count_where(predicate.attribute_masks()))
-        reference = unsharded.engine.estimate(predicate).expectation
+        reference = unsharded.count(predicate).expectation
         merged = sharded.estimate(predicate).expectation
         if len(predicate.constrained_positions) == 1:
             assert merged == pytest.approx(reference, rel=0.02, abs=0.5), (

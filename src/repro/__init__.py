@@ -95,7 +95,6 @@ from repro.api import (
 from repro.core import (
     CompressedPolynomial,
     EntropySummary,
-    InferenceEngine,
     MergedEstimate,
     MirrorDescentSolver,
     ModelParameters,
@@ -146,7 +145,6 @@ __all__ = [
     "EntropySummary",
     "EquiWidthBinner",
     "Explorer",
-    "InferenceEngine",
     "IngestError",
     "MergedEstimate",
     "MirrorDescentSolver",

@@ -181,11 +181,10 @@ class SummaryBuilder:
 
     # -- interop ---------------------------------------------------------
     def with_options(self, **options) -> "SummaryBuilder":
-        """Apply options given as a keyword dict (legacy
-        ``EntropySummary.build`` names).
+        """Apply options given as a keyword dict.
 
         Bridges callers that carry configuration around as dicts (the
-        hierarchical summary, the deprecated ``build`` shim).
+        hierarchical summary).
         """
         setters = {
             "pairs": lambda v: self.pairs(*(v or ())),

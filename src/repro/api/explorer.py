@@ -17,7 +17,7 @@ that session object.  It owns
   re-inference entirely,
 * ``run_many()`` — batched execution through the planner's shared
   batched executor (one vectorized
-  :class:`~repro.core.inference.InferenceEngine` pass per backend).
+  :class:`~repro.core.arena.ShardArena` pass per backend).
 
 Construction::
 
@@ -380,9 +380,9 @@ class Explorer:
 
         Plans run through the planner's shared batched executor: all
         batchable scalar ``COUNT(*)`` plans go through one
-        :meth:`InferenceEngine.estimate_masks_batch` pass on model
-        backends (one polynomial evaluation for the whole batch instead
-        of one per query); contradictions answer ``0`` without touching
+        :meth:`ShardArena.estimate_masks_batch` pass on model backends
+        (one kernel pass for the whole batch instead of one per
+        query); contradictions answer ``0`` without touching
         the backend; grouped and SUM/AVG queries run per-query.
         Results come back in input order and populate the session cache
         like sequential ``run()`` calls.

@@ -1,8 +1,10 @@
-"""MaxEnt core: the compressed polynomial, solvers, and inference."""
+"""MaxEnt core: the compressed polynomial, solvers, and the evaluation
+kernel."""
 
 from repro.core.dual import dual_gradient, dual_value, solve_dual_scipy
 from repro.core.hierarchy import HierarchicalSummary
-from repro.core.inference import InferenceEngine, QueryEstimate, round_half_up
+from repro.core.arena import ShardArena
+from repro.core.inference import QueryEstimate, round_half_up
 from repro.core.naive import NaivePolynomial
 from repro.core.sharding import (
     MergedEstimate,
@@ -15,7 +17,6 @@ from repro.core.polynomial import (
     CompressedPolynomial,
     EvaluationParts,
     initial_parameters,
-    masks_from_conjunction,
     product_excluding,
 )
 from repro.core.solver import MirrorDescentSolver, SolverReport, solve_statistics
@@ -34,13 +35,13 @@ __all__ = [
     "CompressedPolynomial",
     "EntropySummary",
     "EvaluationParts",
-    "InferenceEngine",
     "MergedEstimate",
     "MirrorDescentSolver",
     "ModelParameters",
     "NaivePolynomial",
     "Partition",
     "QueryEstimate",
+    "ShardArena",
     "ShardedSummary",
     "SolverReport",
     "build_components",
@@ -52,7 +53,6 @@ __all__ = [
     "sample_world_sequential",
     "dual_value",
     "initial_parameters",
-    "masks_from_conjunction",
     "product_excluding",
     "round_half_up",
     "solve_dual_scipy",

@@ -1,37 +1,44 @@
-"""The contiguous shard arena: one numpy pass over every live shard.
+"""The evaluation kernel: one numpy pass answers every summary query.
 
-:class:`~repro.core.sharding.ShardedSummary` answers a query by
-evaluating each shard's compressed polynomial and merging.  The
-per-shard walk is pure Python: S polynomial evaluations, each looping
-components and positions, with the shard fan-out paying thread-pool
-overhead per batch.  For the serving layer's hot path (many small
-batches of scalar counts) that interpreter time dominates the actual
-math.
+Every linear query over a MaxEnt summary is the same formula (Sec 4.2):
 
-:class:`ShardArena` restructures the *fitted* shard parameters once —
-at load, reload, or publish time — into contiguous float64 arrays:
+    E[⟨q, I⟩]  =  (n / P)  ·  P[ α_j ← 0  for excluded 1D variables ]
+
+zero the 1D variables whose values fail the predicate and re-evaluate
+the compressed polynomial; GROUP BY and SUM are gradients of the same
+masked polynomial (Sec 7).  :class:`ShardArena` is the only code that
+evaluates it at query time, for a plain
+:class:`~repro.core.summary.EntropySummary` (one shard) and for a
+:class:`~repro.core.sharding.ShardedSummary` alike.
+
+The arena restructures the *fitted* parameters once — on first query,
+or at load, reload and publish time — into contiguous float64 arrays:
 
 * ``alphas[pos]`` — every shard's 1D variables for an attribute,
   stacked ``(S, size)``;
-* one flat **term table** across all shards and components: per
-  attribute, the term rows it constrains with their inclusive range
-  bounds and owning shard (``term_rows``/``shard_of``/``lo``/``hi``);
+* one flat **term table** across all shards and components, stored
+  component-contiguously: each component is one row range that
+  references its polynomial's inclusive ``lo``/``hi`` bound arrays;
 * per-term delta products and per-component row offsets, so component
   sums are one ``np.add.reduceat``.
 
 A batch of B queries then evaluates COUNT across **all** shards in a
 single set of matrix operations: masked prefix-sum matrices of shape
-``(S, B, size + 1)`` per constrained attribute (the shard attribute's
+``(S, size + 1, B)`` per constrained attribute (the shard attribute's
 owned ranges are folded into the same mask, which makes shard pruning
 implicit — a pruned shard's masked polynomial is exactly zero), one
-gather + multiply for all term products, one ``reduceat`` for all
-component values.  GROUP BY and SUM reuse the pass with the gradient
-trick of :meth:`CompressedPolynomial.attribute_gradient`, batched over
-shards and group combinations at once.
+multiply per (component, attribute) for all term products, one
+``reduceat`` for all component values.  GROUP BY and SUM reuse the
+pass with the gradient trick of
+:meth:`CompressedPolynomial.attribute_gradient`, batched over shards
+and group combinations at once.
+
+Under the model a counting query's answer is ``Binomial(n, p)`` with
+``p = P[masked]/P`` (Sec 7), so each shard contributes the variance
+``n·p·(1−p)``; shards are fitted independently, so variances add.
 
 Results are cached on the canonical mask key (the serve layer's
-canonical predicate keys collapse to identical masks), bounded like
-:class:`~repro.core.inference.InferenceEngine`'s cache.
+canonical predicate keys collapse to identical masks).
 """
 
 from __future__ import annotations
@@ -42,28 +49,30 @@ import numpy as np
 
 from repro.errors import QueryError
 
-#: Rows evaluated per kernel pass; bounds the ``(S, B, size+1)`` prefix
+#: Rows evaluated per kernel pass; bounds the ``(S, size+1, B)`` prefix
 #: matrices while keeping each pass big enough to amortize dispatch.
 CHUNK = 256
 
-#: Bounded result-cache entries (cleared wholesale when full, matching
-#: the inference engine's policy).
+#: Bounded result-cache entries (cleared wholesale when full).
 CACHE_SIZE = 8192
 
 
 class ShardArena:
-    """Contiguous evaluation kernel over one :class:`ShardedSummary`'s
-    fitted shards.  Rebuild (``ShardArena(summary)``) whenever the shard
-    set changes — the sharding layer does this on load, hot reload, and
-    delta-refresh publish."""
+    """Contiguous evaluation kernel over a summary's fitted shards.
+
+    ``ShardArena(summary)`` accepts an
+    :class:`~repro.core.summary.EntropySummary` (one shard) or a
+    :class:`~repro.core.sharding.ShardedSummary`.  Rebuild it whenever
+    the shard set changes — the sharding layer does this on load, hot
+    reload, and delta-refresh publish."""
 
     def __init__(self, summary):
-        shards = summary.shards
+        shards = getattr(summary, "shards", None) or [summary]
         schema = summary.schema
         self.schema = schema
         self.sizes = schema.sizes()
         self.num_shards = len(shards)
-        self.by_pos = summary.by_position
+        self.by_pos = getattr(summary, "by_position", None)
         self.total = summary.total
 
         S = self.num_shards
@@ -79,13 +88,12 @@ class ShardArena:
             [float(shard.total) for shard in shards], dtype=np.float64
         )
         self.fulls = np.asarray(
-            [float(shard.engine.partition_value) for shard in shards],
-            dtype=np.float64,
+            [shard.partition_value for shard in shards], dtype=np.float64
         )
         self.scales = self.totals / self.fulls
 
         # -- owned ranges of the shard attribute ----------------------
-        ranges = summary.owned_ranges
+        ranges = getattr(summary, "owned_ranges", None)
         if ranges is None:
             self.owned = None
         else:
@@ -97,17 +105,14 @@ class ShardArena:
 
         # -- flattened term table -------------------------------------
         comp_sizes: list[int] = []
-        comp_shard: list[int] = []
         self.comps_of_shard: list[list[int]] = [[] for _ in range(S)]
         self.free_of_shard: list[tuple[int, ...]] = []
         dprods: list[np.ndarray] = []
-        entries: dict[int, list] = {}
         self.comp_of_shard_pos: list[dict[int, int]] = [{} for _ in range(S)]
-        # Component-contiguous view of the same table: every term of a
-        # component constrains the same positions and sits in one row
-        # range, so the hot COUNT pass multiplies contiguous slices
-        # in place instead of gather/scattering the full (T, B) matrix
-        # per attribute.
+        # Component-contiguous table: every term of a component
+        # constrains the same positions and sits in one row range, so
+        # each pass multiplies contiguous slices in place.  The bounds
+        # are the polynomial's own int64 arrays, referenced, not copied.
         self.comp_table: list[tuple[int, int, int, dict[int, tuple]]] = []
         term_base = 0
         for s, shard in enumerate(shards):
@@ -116,28 +121,19 @@ class ShardArena:
             for component in polynomial.components:
                 k = len(comp_sizes)
                 comp_sizes.append(component.num_terms)
-                comp_shard.append(s)
                 self.comps_of_shard[s].append(k)
                 dprods.append(component.delta_products(shard.params.deltas))
-                rows = np.arange(
-                    term_base, term_base + component.num_terms, dtype=np.int64
-                )
-                bounds: dict[int, tuple] = {}
+                bounds = {
+                    pos: (component.lo[pos], component.hi[pos])
+                    for pos in component.positions
+                }
                 for pos in component.positions:
                     self.comp_of_shard_pos[s][pos] = k
-                    entries.setdefault(pos, []).append(
-                        (rows, s, component.lo[pos], component.hi[pos])
-                    )
-                    bounds[pos] = (
-                        component.lo[pos].astype(np.int64),
-                        component.hi[pos].astype(np.int64),
-                    )
                 self.comp_table.append(
                     (term_base, term_base + component.num_terms, s, bounds)
                 )
                 term_base += component.num_terms
         self.num_terms = term_base
-        self.comp_shard = np.asarray(comp_shard, dtype=np.int64)
         self.comp_start = np.concatenate(
             [[0], np.cumsum(comp_sizes)]
         ).astype(np.int64)
@@ -146,21 +142,20 @@ class ShardArena:
             if dprods
             else np.empty(0, dtype=np.float64)
         )
-        # Per attribute: every (term row, shard, lo, hi) it constrains.
-        self.entries: dict[int, tuple] = {}
-        for pos, pieces in entries.items():
-            self.entries[pos] = (
-                np.concatenate([rows for rows, _, _, _ in pieces]),
-                np.concatenate(
-                    [np.full(rows.shape[0], s, dtype=np.int64) for rows, s, _, _ in pieces]
-                ),
-                np.concatenate([lo for _, _, lo, _ in pieces]).astype(np.int64),
-                np.concatenate([hi for _, _, _, hi in pieces]).astype(np.int64),
-            )
 
         self._cache: dict[tuple, tuple[float, float]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
+
+    def masks_for(self, predicate) -> dict[int, np.ndarray]:
+        """A predicate's per-position value masks (``{}`` for ``None``
+        or a trivial predicate); owned-range folding happens inside the
+        passes."""
+        if predicate is None or predicate.is_trivial():
+            return {}
+        if predicate.schema != self.schema:
+            raise QueryError("query predicate uses a different schema")
+        return predicate.attribute_masks()
 
     # ------------------------------------------------------------------
     # Kernel passes
@@ -230,7 +225,10 @@ class ShardArena:
                 if pos == exclude_pos:
                     continue
                 prefix = prefixes[pos][s]  # (size+1, B or 1)
-                block *= prefix[hi + 1] - prefix[lo]
+                # take() gathers whole rows ~2x faster than indexing.
+                sums = prefix.take(hi + 1, axis=0)
+                sums -= prefix.take(lo, axis=0)
+                block *= sums
         return products
 
     def _component_values(
@@ -341,50 +339,42 @@ class ShardArena:
         filtering happens downstream instead.
         """
         B = len(masks_list)
-        S = self.num_shards
         size = self.sizes[pos]
         prefixes = self._prefixes(masks_list, skip_owned=skip_owned)
-        excl = self._term_products(prefixes, B, exclude_pos=pos)
-        # Full component values (for the outer factors) reuse the
-        # excluded products: multiply pos's factors back in.
-        full = excl
-        if pos in self.entries:
-            full = excl.copy()
-            rows, shard_of, lo, hi = self.entries[pos]
-            prefix = prefixes[pos]
-            sums = prefix[shard_of, hi + 1, :] - prefix[shard_of, lo, :]
-            full[rows] = full[rows] * sums
-        comp_vals = self._component_values(full, consume=True)
-
-        # Outer factors: free product × every component except the one
-        # holding pos (all of them, when pos is free in a shard).
+        # Term products without pos's factors, weighted in place by the
+        # delta products.  Summed per component they are the value of
+        # every component that does not hold pos — the only values the
+        # outer factors need — and the rows of the component that does
+        # are its per-term gradient coefficients.
+        weighted = self._term_products(prefixes, B, exclude_pos=pos)
+        comp_vals = self._component_values(weighted, consume=True)
         outers = self._free_products(prefixes, B, exclude_pos=pos)
-        inner_comp_of_shard = [
-            self.comp_of_shard_pos[s].get(pos) for s in range(S)
-        ]
-        for s in range(S):
-            for k in self.comps_of_shard[s]:
-                if k != inner_comp_of_shard[s]:
-                    outers[s] = outers[s] * comp_vals[k]
-
-        gradients = np.zeros((S, size, B), dtype=np.float64)
-        if pos in self.entries:
-            # Vectorized scatter over every shard at once: coefficients
-            # accumulate at lo / hi+1 per (shard, term), then a cumsum
-            # turns the difference array into the per-value gradient.
-            rows, shard_of, lo, hi = self.entries[pos]
-            coeff = excl[rows] * self.dprod[rows, None]
-            diff = np.zeros((S * (size + 1), B), dtype=np.float64)
-            np.add.at(diff, shard_of * (size + 1) + lo, coeff)
-            np.add.at(diff, shard_of * (size + 1) + hi + 1, -coeff)
-            grad_q = np.cumsum(
-                diff.reshape(S, size + 1, B)[:, :-1, :], axis=1
-            )
-            gradients = grad_q * outers[:, None, :]
-        for s in range(S):
-            if inner_comp_of_shard[s] is None:
+        columns = np.arange(B)
+        gradients = np.empty((self.num_shards, size, B), dtype=np.float64)
+        for s, comps in enumerate(self.comps_of_shard):
+            inner = self.comp_of_shard_pos[s].get(pos)
+            for k in comps:
+                if k != inner:
+                    outers[s] *= comp_vals[k]
+            if inner is None:
                 # pos is free in this shard: ∂P/∂α_v is value-independent.
-                gradients[s] = outers[s][None, :]
+                gradients[s] = outers[s]
+                continue
+            # Difference array over (value, query), flattened: each
+            # term's coefficient enters at lo and leaves after hi; a
+            # cumsum over values then yields the per-value gradient.
+            start, end, _, bounds = self.comp_table[inner]
+            lo, hi = bounds[pos]
+            coeff = weighted[start:end].ravel()
+            length = (size + 1) * B
+            diff = np.bincount(
+                (lo[:, None] * B + columns).ravel(), coeff, length
+            )
+            diff -= np.bincount(
+                ((hi + 1)[:, None] * B + columns).ravel(), coeff, length
+            )
+            grad_q = np.cumsum(diff.reshape(size + 1, B)[:-1], axis=0)
+            np.multiply(grad_q, outers[s], out=gradients[s])
         return self.alphas[pos][:, :, None] * gradients
 
     def _live_mask(self, base_masks: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -407,9 +397,9 @@ class ShardArena:
 
         ``base_masks`` are the predicate's per-position masks; masks on
         group attributes act as filters on which labels appear (SQL's
-        filter-then-group), mirroring ``InferenceEngine.group_by`` and
-        the sharding layer's label-union merge.  Returns
-        ``{labels: (expectation, variance)}``.
+        filter-then-group), and a shard attribute's labels come only
+        from the shards that own them.  Returns
+        ``{labels: (expectation, variance)}`` keyed by domain labels.
         """
         if not positions:
             raise QueryError("group_by needs at least one attribute")
@@ -461,7 +451,9 @@ class ShardArena:
                 shared, (self.num_shards, size)
             )
 
-        results: dict[tuple[int, ...], tuple[float, float]] = {}
+        outer_labels = [self.schema.domain(pos).labels for pos in outer]
+        inner_labels = self.schema.domain(inner).labels
+        results: dict[tuple, tuple[float, float]] = {}
         for start in range(0, len(combos), CHUNK):
             chunk = combos[start : start + CHUNK]
             rows = []
@@ -482,17 +474,22 @@ class ShardArena:
                 axis = outer.index(self.by_pos)
                 combo_vals = np.asarray([combo[axis] for combo in chunk])
                 contrib &= self.owned[:, combo_vals]
-            numerators *= contrib[:, None, :]
+            # A shard contributes only the labels it owns (the owned-range
+            # narrowing every other pass folds into its masks).
+            label_mask = inner_allowed_by_shard[:, :, None] & contrib[:, None, :]
+            numerators *= label_mask
             expectation = np.einsum(
                 "s,svb->vb", self.scales, numerators
             )
             p = np.clip(numerators / self.fulls[:, None, None], 0.0, 1.0)
             variance = np.einsum("s,svb->vb", self.totals, p * (1.0 - p))
-            label_mask = inner_allowed_by_shard[:, :, None] & contrib[:, None, :]
             visible = label_mask.any(axis=0)  # (size, B)
             for b, combo in enumerate(chunk):
+                prefix = tuple(
+                    labels[value] for labels, value in zip(outer_labels, combo)
+                )
                 for v in np.flatnonzero(visible[:, b]).tolist():
-                    results[combo + (v,)] = (
+                    results[prefix + (inner_labels[v],)] = (
                         float(expectation[v, b]),
                         float(variance[v, b]),
                     )
@@ -504,8 +501,9 @@ class ShardArena:
         weights: np.ndarray,
         base_masks: Mapping[int, np.ndarray],
     ) -> float:
-        """Merged ``E[Σ w(A_pos)]`` over all shards — mirrors
-        ``InferenceEngine.sum_estimate`` summed with the linearity merge."""
+        """Merged ``E[Σ w(A_pos)]`` over all shards: by linearity the
+        weighted query decomposes over the attribute's values,
+        ``Σ_v w_v · E[A = v ∧ π]``, one gradient pass (Sec 7)."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != self.sizes[pos]:
             raise QueryError(
@@ -537,7 +535,7 @@ class ShardArena:
         return {
             "shards": self.num_shards,
             "terms": self.num_terms,
-            "components": int(self.comp_shard.shape[0]),
+            "components": len(self.comp_table),
             "cache_entries": len(self._cache),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,

@@ -15,7 +15,7 @@ with excluded 1D variables set to 0) and the solver's gradients.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -50,7 +50,7 @@ def product_excluding(values: np.ndarray, axis: int = 0) -> np.ndarray:
 
 class EvaluationParts:
     """Intermediate factors of one polynomial evaluation, cached so the
-    solver and the inference layer can reuse them for gradients."""
+    solver can reuse them for gradients."""
 
     __slots__ = (
         "prefixes",
@@ -242,66 +242,6 @@ class CompressedPolynomial:
         """``P[α masked]`` — the quantity of Sec 4.2's query formula."""
         return self.evaluation_parts(params, masks).value
 
-    def evaluate_batch(
-        self,
-        params: ModelParameters,
-        masks_list: Sequence[Mapping[int, np.ndarray] | None],
-    ) -> np.ndarray:
-        """``P[α masked]`` for a whole batch of queries in one pass.
-
-        Positions unconstrained by *every* query in the batch share a
-        single scalar prefix sum; constrained positions get a
-        ``(batch, size + 1)`` prefix matrix, and the per-component term
-        products/dot products run batched.  This is the engine behind
-        ``run_many()``-style batched query execution: the Python-level
-        component walk happens once instead of once per query.
-        """
-        batch = len(masks_list)
-        if batch == 0:
-            return np.empty(0, dtype=float)
-        masked_positions: set[int] = set()
-        for masks in masks_list:
-            if masks:
-                masked_positions.update(masks.keys())
-
-        # pos -> (size + 1,) shared prefix, or (batch, size + 1) per query.
-        prefixes: dict[int, np.ndarray] = {}
-        for pos, alpha in enumerate(params.alphas):
-            if pos in masked_positions:
-                matrix = np.broadcast_to(alpha, (batch, alpha.shape[0])).copy()
-                for row, masks in enumerate(masks_list):
-                    mask = masks.get(pos) if masks else None
-                    if mask is None:
-                        continue
-                    mask = np.asarray(mask, dtype=bool)
-                    if mask.shape[0] != alpha.shape[0]:
-                        raise SolverError(
-                            f"mask for attribute {pos} has size "
-                            f"{mask.shape[0]}, expected {alpha.shape[0]}"
-                        )
-                    matrix[row, ~mask] = 0.0
-                prefix = np.concatenate(
-                    [np.zeros((batch, 1)), np.cumsum(matrix, axis=1)], axis=1
-                )
-            else:
-                prefix = np.concatenate([[0.0], np.cumsum(alpha, dtype=float)])
-            prefixes[pos] = prefix
-
-        values = np.ones(batch, dtype=float)
-        for pos in self.free_positions:
-            values = values * prefixes[pos][..., -1]
-        for component in self.components:
-            product: np.ndarray | float = 1.0
-            for pos in component.positions:
-                prefix = prefixes[pos]
-                # (num_terms,) shared or (batch, num_terms) per query.
-                product = product * (
-                    prefix[..., component.hi[pos] + 1]
-                    - prefix[..., component.lo[pos]]
-                )
-            values = values * (product @ component.delta_products(params.deltas))
-        return np.broadcast_to(values, (batch,)).astype(float, copy=True)
-
     # ------------------------------------------------------------------
     # Gradients
     # ------------------------------------------------------------------
@@ -396,15 +336,6 @@ class CompressedPolynomial:
 def initial_parameters(polynomial: CompressedPolynomial) -> ModelParameters:
     """Fresh all-ones parameters shaped for the polynomial."""
     return ModelParameters.initial(polynomial.sizes, polynomial.num_deltas)
-
-
-def masks_from_conjunction(polynomial: CompressedPolynomial, predicate) -> dict:
-    """Per-position boolean masks of a query conjunction (helper shared
-    by the inference layer and tests)."""
-    masks = {}
-    for pos in predicate.constrained_positions:
-        masks[pos] = predicate.predicate_at(pos).mask(polynomial.sizes[pos])
-    return masks
 
 
 def check_parameter_shapes(

@@ -6,7 +6,8 @@ sizes a summary can serve.  This module bolts scale on the same way
 OrpheusDB bolts versioning onto relations and the LSST design
 partitions the sky: split the relation into shards, fit one
 :class:`~repro.core.summary.EntropySummary` per shard, and answer
-queries by evaluating shards independently and merging.
+queries by evaluating every shard in one
+:class:`~repro.core.arena.ShardArena` pass and merging.
 
 The merge algebra follows from rows belonging to exactly one shard and
 the shard models being fitted independently:
@@ -26,7 +27,7 @@ Two partitioning schemes:
   into ``n`` contiguous index ranges balanced by row count; a shard
   owns every row whose value falls in its range.  Queries constraining
   the attribute then *prune*: shards whose range misses the predicate
-  contribute an exact zero and are never evaluated.
+  contribute an exact zero.
 
 Sharding keeps the overall model budget constant — the builder divides
 the 2D bucket budget across shards — so the summed solver work often
@@ -40,7 +41,7 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,10 +49,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.arena import ShardArena
+from repro.core.inference import round_half_up
 from repro.core.summary import EntropySummary
 from repro.data.relation import Relation
 from repro.errors import QueryError, ReproError
-from repro.stats.predicates import Conjunction, RangePredicate, conjunction_from_masks
+from repro.stats.predicates import Conjunction, RangePredicate
 
 #: two-sided 95% normal quantile (matches repro.core.inference).
 _Z95 = 1.959963984540054
@@ -182,8 +184,6 @@ class MergedEstimate:
 
     @property
     def rounded(self) -> int:
-        from repro.core.inference import round_half_up
-
         return round_half_up(self.expectation)
 
     def __repr__(self):
@@ -191,15 +191,6 @@ class MergedEstimate:
             f"MergedEstimate({self.expectation:.3f} ± {self.std:.3f}, "
             f"n={self.total})"
         )
-
-
-def _merge(estimates, total: int) -> MergedEstimate:
-    expectation = 0.0
-    variance = 0.0
-    for estimate in estimates:
-        expectation += estimate.expectation
-        variance += estimate.variance
-    return MergedEstimate(expectation, variance, total)
 
 
 # ----------------------------------------------------------------------
@@ -238,9 +229,9 @@ class ShardedSummary:
     """One logical summary made of per-shard MaxEnt models.
 
     Build with :meth:`fit_partitions` (or, at the API layer,
-    ``SummaryBuilder(relation).shards(n, by=...)``).  Queries evaluate
-    every non-pruned shard and merge; see the module docstring for the
-    merge algebra.
+    ``SummaryBuilder(relation).shards(n, by=...)``).  Queries run
+    through :attr:`arena`; see the module docstring for the merge
+    algebra.
     """
 
     def __init__(
@@ -273,12 +264,9 @@ class ShardedSummary:
             self._by_pos = schema.position(shard_by)
             self._owned = [RangePredicate(low, high) for low, high in ranges]
         # The contiguous evaluation kernel (built lazily, or eagerly via
-        # warm()) and the persistent shard-fanout pool for the legacy
-        # per-shard path.  Both are derived state: never pickled.
+        # warm()).  Derived state: never pickled.
         self._arena: ShardArena | None = None
         self._arena_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -354,45 +342,15 @@ class ShardedSummary:
         self.arena
         return self
 
-    def _executor(self) -> ThreadPoolExecutor:
-        """The persistent shard-fanout pool (one per summary, created on
-        first parallel batch, shut down by :meth:`close`)."""
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = self._pool = ThreadPoolExecutor(
-                        max_workers=self.num_shards,
-                        thread_name_prefix="repro-shard",
-                    )
-        return pool
-
-    def close(self) -> None:
-        """Deterministically release the shard-fanout pool."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ShardedSummary":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for derived in ("_arena", "_pool", "_arena_lock", "_pool_lock"):
-            state.pop(derived, None)
+        state["_arena"] = None
+        del state["_arena_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._arena = None
         self._arena_lock = threading.Lock()
-        self._pool = None
-        self._pool_lock = threading.Lock()
 
     # -- introspection ---------------------------------------------------
     @property
@@ -419,7 +377,7 @@ class ShardedSummary:
 
     def clear_cache(self) -> None:
         for shard in self.shards:
-            shard.engine.clear_cache()
+            shard.clear_cache()
         arena = self._arena
         if arena is not None:
             arena.clear_cache()
@@ -493,50 +451,6 @@ class ShardedSummary:
         ).warm()
 
     # -- shard routing ---------------------------------------------------
-    def shard_conjunctions(
-        self, predicate: Conjunction | None
-    ) -> list[Conjunction | None]:
-        """The conjunction each shard should evaluate; ``None`` = pruned.
-
-        This is the single pruning pass shared by every query path
-        (scalar counts, group-bys, sums, and the planner's routing
-        stage): the predicate's per-attribute masks are derived *once*,
-        then only the shard attribute's mask is intersected with each
-        shard's owned range.  An empty intersection means the shard
-        provably contributes zero and is never evaluated.
-        """
-        if self._owned is None:
-            narrowed = (
-                Conjunction(self.schema, {})
-                if predicate is None or predicate.is_trivial()
-                else predicate
-            )
-            return [narrowed] * self.num_shards
-        size = self.schema.domain(self._by_pos).size
-        if predicate is None or predicate.is_trivial():
-            return [
-                Conjunction(self.schema, {self._by_pos: owned})
-                for owned in self._owned
-            ]
-        base_masks = {
-            pos: predicate.predicate_at(pos).mask(self.schema.domain(pos).size)
-            for pos in predicate.constrained_positions
-        }
-        constraint = base_masks.get(self._by_pos)
-        conjunctions: list[Conjunction | None] = []
-        for owned in self._owned:
-            owned_mask = owned.mask(size)
-            narrowed_mask = (
-                owned_mask if constraint is None else constraint & owned_mask
-            )
-            if not narrowed_mask.any():
-                conjunctions.append(None)
-                continue
-            masks = dict(base_masks)
-            masks[self._by_pos] = narrowed_mask
-            conjunctions.append(conjunction_from_masks(self.schema, masks))
-        return conjunctions
-
     def live_shards(self, predicate: Conjunction | None) -> list[int]:
         """Indices of the shards a predicate can touch.
 
@@ -557,155 +471,42 @@ class ShardedSummary:
             if (mask & owned.mask(size)).any()
         ]
 
-    def _query_masks(self, predicate: Conjunction | None) -> dict:
-        """A predicate's per-position masks (schema-checked) for the
-        arena kernel; owned-range folding happens inside the arena."""
-        if predicate is None or predicate.is_trivial():
-            return {}
-        if predicate.schema != self.schema:
-            raise QueryError("query predicate uses a different schema")
-        return predicate.attribute_masks()
-
     # -- querying --------------------------------------------------------
     def count(self, predicate: Conjunction) -> MergedEstimate:
         """Merged estimate of ``SELECT COUNT(*) WHERE predicate``."""
         return self.estimate(predicate)
 
-    def estimate(
-        self, predicate: Conjunction | None, use_arena: bool = True
-    ) -> MergedEstimate:
-        if not use_arena:
-            estimates = [
-                shard.engine.estimate(narrowed)
-                for shard, narrowed in zip(
-                    self.shards, self.shard_conjunctions(predicate)
-                )
-                if narrowed is not None
-            ]
-            return _merge(estimates, self.total)
-        expectation, variance = self.arena.estimate_masks_batch(
-            [self._query_masks(predicate)]
-        )[0]
-        return MergedEstimate(expectation, variance, self.total)
+    def estimate(self, predicate: Conjunction | None) -> MergedEstimate:
+        return self.estimate_batch([predicate])[0]
 
     def estimate_batch(
-        self,
-        predicates: Sequence[Conjunction],
-        parallel: bool | None = None,
-        use_arena: bool = True,
+        self, predicates: Sequence[Conjunction | None]
     ) -> list[MergedEstimate]:
-        """Merged estimates for a batch in one arena pass.
-
-        The default route evaluates every query across every live shard
-        in a single set of matrix operations over the
-        :class:`~repro.core.arena.ShardArena`.  ``use_arena=False``
-        falls back to per-shard vectorized evaluation; there,
-        ``parallel`` (default: when the machine has more than one core)
-        fans the shard passes across the summary's persistent thread
-        pool — the numpy kernels run outside the GIL.
-        """
-        if use_arena:
-            masks_list = [
-                self._query_masks(predicate) for predicate in predicates
-            ]
-            return [
-                MergedEstimate(expectation, variance, self.total)
-                for expectation, variance in self.arena.estimate_masks_batch(
-                    masks_list
-                )
-            ]
-        predicates = [
-            predicate if predicate is not None else Conjunction(self.schema, {})
-            for predicate in predicates
-        ]
-        for predicate in predicates:
-            if predicate.schema != self.schema:
-                raise QueryError("query predicate uses a different schema")
-        # Masks are shard-invariant: compute each predicate's once and
-        # only intersect the owned range per shard.
-        base_masks = [predicate.attribute_masks() for predicate in predicates]
-        if self._owned is None:
-            owned_masks = None
-        else:
-            size = self.schema.domain(self._by_pos).size
-            owned_masks = [owned.mask(size) for owned in self._owned]
-        expectations = np.zeros(len(predicates))
-        variances = np.zeros(len(predicates))
-
-        def shard_pass(index: int):
-            live: list[int] = []
-            masks_list: list[dict] = []
-            for query_index, masks in enumerate(base_masks):
-                if owned_masks is None:
-                    live.append(query_index)
-                    masks_list.append(masks)
-                    continue
-                constraint = masks.get(self._by_pos)
-                if constraint is None:
-                    narrowed = owned_masks[index]
-                else:
-                    narrowed = constraint & owned_masks[index]
-                    if not narrowed.any():
-                        continue  # pruned: exact zero for this shard
-                shard_masks = dict(masks)
-                shard_masks[self._by_pos] = narrowed
-                live.append(query_index)
-                masks_list.append(shard_masks)
-            if not live:
-                return (), ()
-            estimates = self.shards[index].engine.estimate_masks_batch(masks_list)
-            return live, estimates
-
-        if parallel is None:
-            parallel = (os.cpu_count() or 1) > 1
-        if parallel and self.num_shards > 1:
-            # Persistent pool: constructing an executor per call costs
-            # more than the shard passes themselves on small batches.
-            passes = list(self._executor().map(shard_pass, range(self.num_shards)))
-        else:
-            passes = [shard_pass(index) for index in range(self.num_shards)]
-        for live, estimates in passes:
-            for query_index, estimate in zip(live, estimates):
-                expectations[query_index] += estimate.expectation
-                variances[query_index] += estimate.variance
+        """Merged estimates for a batch in one arena pass: every query
+        across every live shard in a single set of matrix operations."""
+        arena = self.arena
         return [
-            MergedEstimate(float(expectation), float(variance), self.total)
-            for expectation, variance in zip(expectations, variances)
+            MergedEstimate(expectation, variance, self.total)
+            for expectation, variance in arena.estimate_masks_batch(
+                [arena.masks_for(predicate) for predicate in predicates]
+            )
         ]
 
     def group_by(
         self,
         attrs: Sequence,
         predicate: Conjunction | None = None,
-        use_arena: bool = True,
     ) -> dict[tuple, MergedEstimate]:
-        """Merged GROUP BY COUNT(*): the union of shard groups, with
-        per-label expectations summed and variances added.  The default
-        route batches every (shard, group combination) through one
-        arena gradient pass; ``use_arena=False`` walks shards one by
-        one."""
-        if use_arena:
-            positions = [self.schema.position(attr) for attr in attrs]
-            results = self.arena.group_by(
-                positions, self._query_masks(predicate)
-            )
-            return {
-                labels: MergedEstimate(expectation, variance, self.total)
-                for labels, (expectation, variance) in results.items()
-            }
-        merged: dict[tuple, list[float]] = {}
-        for shard, narrowed in zip(
-            self.shards, self.shard_conjunctions(predicate)
-        ):
-            if narrowed is None:
-                continue
-            for labels, estimate in shard.group_by(attrs, narrowed).items():
-                cell = merged.setdefault(labels, [0.0, 0.0])
-                cell[0] += estimate.expectation
-                cell[1] += estimate.variance
+        """Merged GROUP BY COUNT(*) over attribute labels: the union of
+        shard groups, with per-label expectations summed and variances
+        added — every (shard, group combination) in one arena gradient
+        pass."""
+        arena = self.arena
+        positions = [self.schema.position(attr) for attr in attrs]
+        results = arena.group_by(positions, arena.masks_for(predicate))
         return {
             labels: MergedEstimate(expectation, variance, self.total)
-            for labels, (expectation, variance) in merged.items()
+            for labels, (expectation, variance) in results.items()
         }
 
     def sum_estimate(
@@ -713,22 +514,12 @@ class ShardedSummary:
         attr,
         weights: np.ndarray,
         predicate: Conjunction | None = None,
-        use_arena: bool = True,
     ) -> float:
         """Merged ``E[SUM(w(attr))]`` — per-shard sums add by linearity."""
-        pos = self.schema.position(attr)
-        if use_arena:
-            return self.arena.sum_estimate(
-                pos, weights, self._query_masks(predicate)
-            )
-        total = 0.0
-        for shard, narrowed in zip(
-            self.shards, self.shard_conjunctions(predicate)
-        ):
-            if narrowed is None:
-                continue
-            total += shard.engine.sum_estimate(pos, weights, narrowed)
-        return total
+        arena = self.arena
+        return arena.sum_estimate(
+            self.schema.position(attr), weights, arena.masks_for(predicate)
+        )
 
     def avg_estimate(
         self,

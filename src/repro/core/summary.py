@@ -2,27 +2,31 @@
 
 An :class:`EntropySummary` is the user-facing object of the library: it
 owns the statistic set Φ, the compressed polynomial, the fitted
-parameters, and an :class:`~repro.core.inference.InferenceEngine`.  The
-paper stores the variables in Postgres and the factorization in a text
-file (Sec 5); we persist both to a JSON + NPZ pair.
+parameters, and — built on first query — the
+:class:`~repro.core.arena.ShardArena` evaluation kernel that answers
+every query.  The paper stores the variables in Postgres and the
+factorization in a text file (Sec 5); we persist both to a JSON + NPZ
+pair.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.inference import InferenceEngine, QueryEstimate
+from repro.core.arena import ShardArena
+from repro.core.inference import QueryEstimate
 from repro.core.polynomial import CompressedPolynomial, check_parameter_shapes
 from repro.core.solver import MirrorDescentSolver, SolverReport
 from repro.core.variables import ModelParameters
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.data.serialize import decode_schema, encode_schema
-from repro.errors import ReproError
+from repro.errors import ReproError, SolverError
 from repro.stats.predicates import Conjunction, RangePredicate
 from repro.stats.statistic import Statistic, StatisticSet
 
@@ -44,62 +48,18 @@ class EntropySummary:
         self.params = params
         self.report = report
         self.name = name
-        self.engine = InferenceEngine(polynomial, params, statistic_set.total)
+        #: ``P`` at the fitted parameters (``Z = P^n`` by Lemma 3.1).
+        self.partition_value = polynomial.evaluate(params)
+        if self.partition_value <= 0:
+            raise SolverError(
+                "fitted polynomial evaluates to 0; the model is degenerate"
+            )
+        self._engine: ShardArena | None = None
+        self._engine_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        relation: Relation,
-        pairs: Sequence[tuple] | None = None,
-        per_pair_budget: int | None = None,
-        budget: int = 0,
-        num_pairs: int = 0,
-        strategy: str = "cover",
-        heuristic: str = "composite",
-        exclude_attrs: Sequence = (),
-        max_iterations: int = 30,
-        threshold: float = 1e-6,
-        name: str = "summary",
-        seed: int = 0,
-    ) -> "EntropySummary":
-        """Deprecated shim — use :class:`repro.api.SummaryBuilder`.
-
-        Kept for backward compatibility with pre-1.1 call sites; the
-        builder validates each option as it is set and reads fluently::
-
-            SummaryBuilder(relation).pairs(("a", "b")).per_pair_budget(8).fit()
-        """
-        import warnings
-
-        warnings.warn(
-            "EntropySummary.build() is deprecated; use "
-            "repro.api.SummaryBuilder(relation)....fit() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.builder import SummaryBuilder
-
-        return (
-            SummaryBuilder(relation)
-            .with_options(
-                pairs=pairs,
-                per_pair_budget=per_pair_budget,
-                budget=budget,
-                num_pairs=num_pairs,
-                strategy=strategy,
-                heuristic=heuristic,
-                exclude_attrs=exclude_attrs,
-                max_iterations=max_iterations,
-                threshold=threshold,
-                name=name,
-                seed=seed,
-            )
-            .fit()
-        )
-
     @classmethod
     def from_statistics(
         cls,
@@ -285,31 +245,79 @@ class EntropySummary:
     def total(self) -> int:
         return self.statistic_set.total
 
-    def count(self, predicate: Conjunction) -> QueryEstimate:
+    @property
+    def engine(self) -> ShardArena:
+        """The one-shard evaluation kernel (built on first use)."""
+        engine = self._engine
+        if engine is None:
+            with self._engine_lock:
+                engine = self._engine
+                if engine is None:
+                    engine = self._engine = ShardArena(self)
+        return engine
+
+    def _estimate(self, expectation: float) -> QueryEstimate:
+        probability = expectation / self.total if self.total else 0.0
+        return QueryEstimate(
+            expectation, min(max(probability, 0.0), 1.0), self.total
+        )
+
+    def count(self, predicate: Conjunction | None) -> QueryEstimate:
         """Estimate ``SELECT COUNT(*) WHERE predicate``."""
-        return self.engine.estimate(predicate)
+        return self.estimate_batch([predicate])[0]
+
+    def estimate_batch(
+        self, predicates: Sequence[Conjunction | None]
+    ) -> list[QueryEstimate]:
+        """Estimates for a batch of conjunctions in one kernel pass."""
+        engine = self.engine
+        results = engine.estimate_masks_batch(
+            [engine.masks_for(predicate) for predicate in predicates]
+        )
+        return [self._estimate(expectation) for expectation, _ in results]
 
     def count_labels(self, values: Mapping) -> QueryEstimate:
         """Point-query convenience: attribute → *label* equality."""
-        indexed = {}
+        masks = {}
         for attr, label in values.items():
             pos = self.schema.position(attr)
-            indexed[pos] = self.schema.domain(pos).index_of(label)
-        return self.engine.point_estimate(indexed)
+            domain = self.schema.domain(pos)
+            masks[pos] = np.zeros(domain.size, dtype=bool)
+            masks[pos][domain.index_of(label)] = True
+        expectation, _ = self.engine.estimate_masks_batch([masks])[0]
+        return self._estimate(expectation)
 
     def group_by(
         self,
         attrs: Sequence,
         predicate: Conjunction | None = None,
     ) -> dict[tuple, QueryEstimate]:
-        """Model-side GROUP BY COUNT(*) over attribute labels."""
+        """Model-side GROUP BY COUNT(*) over attribute labels.
+
+        The last group attribute's whole value vector comes from one
+        gradient pass (``E[A=v ∧ ρ] = n α_v ∂P[masked]/∂α_v / P``,
+        Eq. 19 batched over ``v``); outer attributes batch as rows.
+        """
         positions = [self.schema.position(attr) for attr in attrs]
-        raw = self.engine.group_by(positions, predicate)
-        domains = [self.schema.domain(pos) for pos in positions]
+        engine = self.engine
+        grouped = engine.group_by(positions, engine.masks_for(predicate))
         return {
-            tuple(domain.label_of(index) for domain, index in zip(domains, key)): value
-            for key, value in raw.items()
+            labels: self._estimate(expectation)
+            for labels, (expectation, _) in grouped.items()
         }
+
+    def sum_estimate(
+        self,
+        attr,
+        weights: np.ndarray,
+        predicate: Conjunction | None = None,
+    ) -> float:
+        """``E[Σ_{rows ⊨ π} w(attr)]`` — a weighted linear query (Sec 7's
+        "other aggregates" extension), one gradient pass."""
+        engine = self.engine
+        return engine.sum_estimate(
+            self.schema.position(attr), weights, engine.masks_for(predicate)
+        )
 
     # ------------------------------------------------------------------
     # Size accounting
@@ -335,8 +343,20 @@ class EntropySummary:
         return self.statistic_set.num_statistics
 
     def clear_cache(self) -> None:
-        """Drop the inference engine's masked-evaluation cache."""
-        self.engine.clear_cache()
+        """Drop the evaluation kernel's cached results (if it was built)."""
+        engine = self._engine
+        if engine is not None:
+            engine.clear_cache()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_engine"] = None  # derived state: rebuilt on first query
+        del state["_engine_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._engine_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Persistence

@@ -29,7 +29,8 @@ class Route:
     ``detail`` resolves lazily: explain-only bookkeeping (live/pruned
     shard indices, per-shard term costs) is computed on first access,
     never on the execute path — shard pruning for execution happens
-    exactly once, inside :meth:`ShardedSummary.shard_conjunctions`.
+    inside the :class:`~repro.core.arena.ShardArena` pass, which folds
+    each shard's owned range into the query masks.
     """
 
     __slots__ = ("target", "batched", "cost", "cost_unit", "_detail", "_thunk")

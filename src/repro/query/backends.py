@@ -1,8 +1,8 @@
 """Backend adapters exposing EntropyDB summaries to the SQL engine.
 
 :class:`SummaryBackend` serves a single :class:`EntropySummary`;
-:class:`ShardedBackend` serves a :class:`~repro.core.sharding.ShardedSummary`
-by fanning queries across the shards and merging their answers.
+:class:`ShardedBackend` serves a :class:`~repro.core.sharding.ShardedSummary`,
+whose evaluation kernel merges the shards' answers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class SummaryBackend(Backend):
         self.rounded = rounded
         self.name = summary.name
 
-    def value_of(self, estimate: QueryEstimate) -> float:
+    def value_of(self, estimate: QueryEstimate | MergedEstimate) -> float:
         """The scalar this backend reports for an estimate (honors
         ``rounded``) — lets batch callers reuse estimates they already
         hold instead of re-running inference."""
@@ -51,8 +51,8 @@ class SummaryBackend(Backend):
     def estimate_many(
         self, predicates: Sequence[Conjunction]
     ) -> list[QueryEstimate]:
-        """Batched estimates through one vectorized polynomial pass."""
-        return self.summary.engine.estimate_batch(predicates)
+        """Batched estimates through one kernel pass."""
+        return self.summary.estimate_batch(predicates)
 
     def count_many(self, predicates: Sequence[Conjunction]) -> list[float]:
         """Batched counts — the fast path behind ``Explorer.run_many``."""
@@ -62,9 +62,7 @@ class SummaryBackend(Backend):
 
     def sum_values(self, attr, weights, predicate: Conjunction | None) -> float:
         """Model-expected ``SUM(w(attr))`` (Sec 7 aggregate extension)."""
-        return self.summary.engine.sum_estimate(
-            self.schema.position(attr), weights, predicate
-        )
+        return self.summary.sum_estimate(attr, weights, predicate)
 
     def group_counts(
         self, attrs: Sequence[str], predicate: Conjunction | None
@@ -76,72 +74,19 @@ class SummaryBackend(Backend):
         }
 
     def __repr__(self):
-        return f"SummaryBackend({self.summary.name!r})"
+        return f"{type(self).__name__}({self.summary.name!r})"
 
 
-class ShardedBackend(Backend):
-    """Answers counting queries by merging per-shard MaxEnt estimates.
+class ShardedBackend(SummaryBackend):
+    """:class:`SummaryBackend` over a
+    :class:`~repro.core.sharding.ShardedSummary`.
 
-    Same contract as :class:`SummaryBackend` — the SQL engine and the
-    Explorer cannot tell the two apart — but each call evaluates every
-    non-pruned shard of a :class:`~repro.core.sharding.ShardedSummary`
-    and combines the answers (counts add, variances add).  Batched
-    entry points fan the per-shard passes across a thread pool when
-    ``parallel`` is enabled (default: machines with more than one
-    core).
+    Same contract — the SQL engine and the Explorer cannot tell the two
+    apart — but estimates are shard-merged (counts add, variances add)
+    and the capability card names the shard layout.
     """
 
-    supports_sum = True
-    is_exact = False
-
-    def __init__(
-        self,
-        summary: ShardedSummary,
-        rounded: bool = False,
-        parallel: bool | None = None,
-    ):
-        self.summary = summary
-        self.schema = summary.schema
-        self.rounded = rounded
-        self.parallel = parallel
-        self.name = summary.name
-
-    def value_of(self, estimate: MergedEstimate) -> float:
-        """Scalar reported for a merged estimate (honors ``rounded``)."""
-        if self.rounded:
-            return float(estimate.rounded)
-        return estimate.expectation
-
-    def count(self, predicate: Conjunction) -> float:
-        return self.value_of(self.summary.estimate(predicate))
-
-    def estimate(self, predicate: Conjunction) -> MergedEstimate:
-        """Full merged estimate with quadrature-combined error bounds."""
-        return self.summary.estimate(predicate)
-
-    def estimate_many(
-        self, predicates: Sequence[Conjunction]
-    ) -> list[MergedEstimate]:
-        """Batched merged estimates — one vectorized pass per shard,
-        shards evaluated in parallel."""
-        return self.summary.estimate_batch(predicates, parallel=self.parallel)
-
-    def count_many(self, predicates: Sequence[Conjunction]) -> list[float]:
-        return [
-            self.value_of(estimate) for estimate in self.estimate_many(predicates)
-        ]
-
-    def sum_values(self, attr, weights, predicate: Conjunction | None) -> float:
-        return self.summary.sum_estimate(attr, weights, predicate)
-
-    def group_counts(
-        self, attrs: Sequence[str], predicate: Conjunction | None
-    ) -> dict[tuple, float]:
-        estimates = self.summary.group_by(attrs, predicate)
-        return {
-            labels: self.value_of(estimate)
-            for labels, estimate in estimates.items()
-        }
+    summary: ShardedSummary
 
     def describe(self) -> dict:
         card = super().describe()

@@ -27,9 +27,9 @@ Topology::
   replica owner answers each shard (:class:`HashRing`): repeats of a
   query land on the same worker, and a worker death only remaps the
   keys it served.
-* **Merging** — workers return *partial* aggregates over the exact
-  per-shard narrowing the single-process merge path uses
-  (:class:`ShardSlice`); the frontend combines them with the same
+* **Merging** — workers return *partial* aggregates, each shard
+  evaluated with the owned-range narrowing the single-process arena
+  folds in (:class:`ShardSlice`); the frontend combines them with the same
   algebra (:func:`merge_partials`): COUNT/SUM expectations add,
   variances add in quadrature, AVG is the merged ratio estimator, and
   GROUP BY ORDER/LIMIT applies only after the global merge.
@@ -75,11 +75,7 @@ from repro.serve.server import (
     _wire_label,
     result_payload,
 )
-from repro.stats.predicates import (
-    Conjunction,
-    RangePredicate,
-    conjunction_from_masks,
-)
+from repro.stats.predicates import conjunction_from_masks
 
 #: Environment variable naming a directory for worker stdout/stderr
 #: logs (one ``worker-<id>.log`` each) — the cluster-smoke CI job sets
@@ -170,11 +166,13 @@ class WorkerSpec:
 
 
 class ShardSlice:
-    """The shards one worker owns, evaluated with the exact narrowing
-    and pruning of the single-process :class:`ShardedSummary` merge
-    path — a shard contributes precisely what it would have
-    contributed in one process, so the frontend's merged answers match
-    the single-process answers.
+    """The shards one worker owns, each evaluated through its own
+    one-shard :class:`~repro.core.arena.ShardArena` with the query's
+    shard-attribute mask narrowed to the shard's owned range — exactly
+    the owned-range folding of the single-process arena — so a shard
+    contributes precisely what it would have contributed in one
+    process, and the frontend's merged answers match the
+    single-process answers.
     """
 
     def __init__(self, shards, indices, schema, by_pos=None, ranges=None):
@@ -182,15 +180,17 @@ class ShardSlice:
         self.indices = list(indices)
         self.schema = schema
         self.by_pos = by_pos
-        self._owned = (
-            None
-            if ranges is None
-            else [RangePredicate(low, high) for low, high in ranges]
-        )
         if len(self.shards) != len(self.indices):
             raise ReproError("need exactly one global index per owned shard")
-        if self._owned is not None and len(self._owned) != len(self.shards):
+        if ranges is not None and len(ranges) != len(self.shards):
             raise ReproError("need exactly one owned range per owned shard")
+        self.ranges = None if ranges is None else [tuple(r) for r in ranges]
+        self._owned = None
+        if self.ranges is not None:
+            values = np.arange(schema.domain(by_pos).size)
+            self._owned = [
+                (values >= low) & (values <= high) for low, high in self.ranges
+            ]
         self._local = {
             global_index: local
             for local, global_index in enumerate(self.indices)
@@ -221,52 +221,35 @@ class ShardSlice:
             self._local[index] for index in shards if index in self._local
         ]
 
-    def _narrowed(self, predicate, locals_) -> list:
-        """Per-shard conjunction, ``None`` = provably-zero (mirrors
-        :meth:`ShardedSummary.shard_conjunctions` for a subset)."""
-        if self._owned is None:
-            narrowed = (
-                Conjunction(self.schema, {})
-                if predicate is None or predicate.is_trivial()
-                else predicate
-            )
-            return [narrowed] * len(locals_)
-        size = self.schema.domain(self.by_pos).size
-        if predicate is None or predicate.is_trivial():
-            return [
-                Conjunction(self.schema, {self.by_pos: self._owned[local]})
-                for local in locals_
-            ]
-        base_masks = {
-            pos: predicate.predicate_at(pos).mask(self.schema.domain(pos).size)
-            for pos in predicate.constrained_positions
-        }
-        constraint = base_masks.get(self.by_pos)
-        conjunctions = []
-        for local in locals_:
-            owned_mask = self._owned[local].mask(size)
-            narrowed_mask = (
-                owned_mask if constraint is None else constraint & owned_mask
-            )
-            if not narrowed_mask.any():
-                conjunctions.append(None)
-                continue
-            masks = dict(base_masks)
-            masks[self.by_pos] = narrowed_mask
-            conjunctions.append(conjunction_from_masks(self.schema, masks))
-        return conjunctions
+    def _live(self, predicate, shards):
+        """``(engine, masks)`` per requested shard whose owned range
+        meets the predicate; the others provably contribute zero."""
+        base = (
+            {}
+            if predicate is None or predicate.is_trivial()
+            else predicate.attribute_masks()
+        )
+        constraint = base.get(self.by_pos)
+        for local in self.locals_for(shards):
+            masks = base
+            if self._owned is not None:
+                owned = self._owned[local]
+                narrowed = owned if constraint is None else constraint & owned
+                if not narrowed.any():
+                    continue
+                masks = {**base, self.by_pos: narrowed}
+            yield self.shards[local].engine, masks
 
     def count(self, predicate, shards=None) -> tuple[float, float]:
         """Partial COUNT: summed expectation and variance over the
         requested owned shards."""
         expectation = variance = 0.0
-        locals_ = self.locals_for(shards)
-        for local, narrowed in zip(locals_, self._narrowed(predicate, locals_)):
-            if narrowed is None:
-                continue
-            estimate = self.shards[local].engine.estimate(narrowed)
-            expectation += estimate.expectation
-            variance += estimate.variance
+        for engine, masks in self._live(predicate, shards):
+            shard_expectation, shard_variance = engine.estimate_masks_batch(
+                [masks]
+            )[0]
+            expectation += shard_expectation
+            variance += shard_variance
         return expectation, variance
 
     def sum_value(self, attr, predicate, shards=None) -> float:
@@ -275,15 +258,10 @@ class ShardSlice:
 
         pos = self.schema.position(attr)
         weights = numeric_weights(self.schema.domain(pos))
-        total = 0.0
-        locals_ = self.locals_for(shards)
-        for local, narrowed in zip(locals_, self._narrowed(predicate, locals_)):
-            if narrowed is None:
-                continue
-            total += self.shards[local].engine.sum_estimate(
-                pos, weights, narrowed
-            )
-        return total
+        return sum(
+            engine.sum_estimate(pos, weights, masks)
+            for engine, masks in self._live(predicate, shards)
+        )
 
     def group(self, attrs, predicate, shards=None) -> dict:
         """Partial GROUP BY COUNT(*): label → summed expectation over
@@ -291,18 +269,15 @@ class ShardSlice:
         only defined after the frontend merge)."""
         positions = [self.schema.position(attr) for attr in attrs]
         merged: dict[tuple, float] = {}
-        locals_ = self.locals_for(shards)
-        for local, narrowed in zip(locals_, self._narrowed(predicate, locals_)):
-            if narrowed is None:
-                continue
-            # Engine-level grouping keys by domain *indices* — the same
-            # keys the single-process arena route serves — so merged
-            # cluster rows are byte-identical to single-process rows.
-            for labels, estimate in (
-                self.shards[local].engine.group_by(positions, narrowed).items()
-            ):
+        for engine, masks in self._live(predicate, shards):
+            # The kernel keys groups by domain labels, exactly as the
+            # single-process arena route does, so merged cluster rows
+            # are byte-identical to single-process rows.
+            for labels, (expectation, _) in engine.group_by(
+                positions, masks
+            ).items():
                 key = tuple(_wire_label(label) for label in labels)
-                merged[key] = merged.get(key, 0.0) + estimate.expectation
+                merged[key] = merged.get(key, 0.0) + expectation
         return merged
 
     def __repr__(self):
@@ -492,11 +467,7 @@ def _model_for_slice(shard_slice: ShardSlice, name: str):
             shard_slice.shards,
             name=name,
             shard_by=shard_by,
-            ranges=(
-                None
-                if shard_slice._owned is None
-                else [(owned.low, owned.high) for owned in shard_slice._owned]
-            ),
+            ranges=shard_slice.ranges,
         )
     return shard_slice.shards[0]
 

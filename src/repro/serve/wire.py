@@ -49,7 +49,11 @@ keyed dicts, and float64 numpy vectors::
     'm'   uint32 count + packed key/value pairs (keys are strings)
     'A'   uint32 count + native-endian float64 buffer
 
-Anything else is a programming error and raises :class:`WireError` —
+Decoding is total: a malformed body (truncated, unknown tag, invalid
+UTF-8, lists or dicts nested deeper than :data:`MAX_DEPTH`) raises
+:class:`WireError` and nothing else.  On the encode side, anything
+outside these types is a programming error and raises
+:class:`WireError` —
 the server maps encode failures to a 500-style response instead of
 silently stringifying them (which is also why :func:`encode_json_line`
 lives here: the JSON debug path shares the same strictness).
@@ -71,6 +75,9 @@ WIRE_VERSION = 1
 #: Largest accepted frame body; oversized frames are rejected with a
 #: clean status-400 error frame before the connection closes.
 MAX_BODY = 16 * 1024 * 1024
+#: Deepest list/dict nesting a decoded value may have; deeper bodies
+#: are rejected before they can exhaust the interpreter's stack.
+MAX_DEPTH = 64
 
 _HEADER = struct.Struct(">2sBBIq")
 HEADER_SIZE = _HEADER.size
@@ -206,19 +213,26 @@ class _Reader:
         return piece
 
 
-def _unpack_map(reader: _Reader, count: int) -> dict:
+def _unpack_text(reader: _Reader) -> str:
+    (length,) = _U32.unpack(reader.take(4))
+    try:
+        return str(reader.take(length), "utf-8")
+    except UnicodeDecodeError as error:
+        raise WireError(f"string is not valid UTF-8: {error.reason}") from None
+
+
+def _unpack_map(reader: _Reader, count: int, depth: int) -> dict:
     result = {}
     for _ in range(count):
         key_tag = bytes(reader.take(1))
         if key_tag != b"s":
             raise WireError("dict keys must be strings")
-        (length,) = _U32.unpack(reader.take(4))
-        key = str(reader.take(length), "utf-8")
-        result[key] = _unpack(reader)
+        key = _unpack_text(reader)
+        result[key] = _unpack(reader, depth)
     return result
 
 
-def _unpack(reader: _Reader):
+def _unpack(reader: _Reader, depth: int = 0):
     tag = bytes(reader.take(1))
     if tag == b"N":
         return None
@@ -231,8 +245,7 @@ def _unpack(reader: _Reader):
     if tag == b"d":
         return _F64.unpack(reader.take(8))[0]
     if tag == b"s":
-        (length,) = _U32.unpack(reader.take(4))
-        return str(reader.take(length), "utf-8")
+        return _unpack_text(reader)
     if tag == b"b":
         (length,) = _U32.unpack(reader.take(4))
         return bytes(reader.take(length))
@@ -241,12 +254,13 @@ def _unpack(reader: _Reader):
         # Zero-copy: the array is a view over the frame bytes (which it
         # keeps alive); no Python floats are ever materialized.
         return np.frombuffer(reader.take(count * 8), dtype=np.float64)
-    if tag == b"l":
+    if tag in (b"l", b"m"):
+        if depth >= MAX_DEPTH:
+            raise WireError(f"value nests deeper than {MAX_DEPTH} levels")
         (count,) = _U32.unpack(reader.take(4))
-        return [_unpack(reader) for _ in range(count)]
-    if tag == b"m":
-        (count,) = _U32.unpack(reader.take(4))
-        return _unpack_map(reader, count)
+        if tag == b"m":
+            return _unpack_map(reader, count, depth + 1)
+        return [_unpack(reader, depth + 1) for _ in range(count)]
     raise WireError(f"unknown codec tag {tag!r}")
 
 

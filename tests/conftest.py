@@ -104,6 +104,12 @@ def _lockorder_watchdog(request):
         watchdog.assert_no_cycles()
 
 
+def masked_estimate(summary, masks) -> tuple[float, float]:
+    """``(expectation, variance)`` of a raw per-position mask query,
+    straight from a summary's evaluation kernel."""
+    return summary.engine.estimate_masks_batch([masks])[0]
+
+
 # ----------------------------------------------------------------------
 # Deterministic fixtures
 # ----------------------------------------------------------------------

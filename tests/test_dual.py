@@ -61,18 +61,18 @@ class TestScipyAgreement:
             )
 
     def test_same_query_answers(self, small_statistics):
-        from repro.core.inference import InferenceEngine
+        from repro.core.summary import EntropySummary
+        from tests.conftest import masked_estimate
 
         poly = CompressedPolynomial(small_statistics)
         mirror_params, _ = solve_statistics(poly, max_iterations=300)
         scipy_params, _ = solve_dual_scipy(poly)
-        total = small_statistics.total
-        mirror_engine = InferenceEngine(poly, mirror_params, total)
-        scipy_engine = InferenceEngine(poly, scipy_params, total)
+        mirror = EntropySummary(small_statistics, poly, mirror_params)
+        scipy = EntropySummary(small_statistics, poly, scipy_params)
         masks = {0: np.array([True, True, False, False]),
                  1: np.array([False, True, True, False, True])}
-        assert mirror_engine.estimate_masks(masks).expectation == pytest.approx(
-            scipy_engine.estimate_masks(masks).expectation, rel=0.02, abs=0.5
+        assert masked_estimate(mirror, masks)[0] == pytest.approx(
+            masked_estimate(scipy, masks)[0], rel=0.02, abs=0.5
         )
 
     def test_constraints_satisfied_by_scipy(self, small_statistics):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.inference import InferenceEngine
+from repro.api import SummaryBuilder
 from repro.core.polynomial import CompressedPolynomial, initial_parameters
 from repro.core.summary import EntropySummary
 from repro.core.variables import ModelParameters
@@ -24,7 +24,7 @@ def summary(tmp_path):
     relation = Relation(
         schema, [rng.integers(0, 3, 200), rng.integers(0, 4, 200)]
     )
-    summary = EntropySummary.build(relation, max_iterations=20)
+    summary = SummaryBuilder(relation).iterations(20).fit()
     summary.save(tmp_path / "model")
     return summary, tmp_path / "model"
 
@@ -80,7 +80,7 @@ class TestDegenerateModels:
             [np.zeros(2), np.zeros(2)], np.zeros(0)
         )
         with pytest.raises(SolverError, match="degenerate"):
-            InferenceEngine(poly, params, 2)
+            EntropySummary(statistic_set, poly, params)
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(SolverError, match="non-negative"):

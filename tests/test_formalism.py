@@ -1,6 +1,6 @@
 """Ties the implementation back to the paper's formal model (Fig. 1).
 
-Every counting query the engine answers corresponds to a 0/1 linear
+Every counting query a summary answers corresponds to a 0/1 linear
 query vector ``q`` over ``Tup`` with exact answer ``⟨q, n^I⟩``; the
 summary's estimate is the model expectation of that inner product.
 These tests keep the formal objects and the production code in sync.
@@ -12,7 +12,7 @@ import pytest
 from repro.core.naive import NaivePolynomial
 from repro.core.polynomial import CompressedPolynomial
 from repro.core.solver import solve_statistics
-from repro.core.inference import InferenceEngine
+from repro.core.summary import EntropySummary
 from repro.data.frequency import frequency_vector
 from repro.query.linear import LinearQuery
 from repro.stats.predicates import Conjunction, RangePredicate, SetPredicate
@@ -45,8 +45,8 @@ def model(request):
     statistic_set = StatisticSet.from_relation(relation, [statistic])
     poly = CompressedPolynomial(statistic_set)
     params, _ = solve_statistics(poly, max_iterations=150)
-    engine = InferenceEngine(poly, params, statistic_set.total)
-    return relation, statistic_set, poly, params, engine
+    summary = EntropySummary(statistic_set, poly, params)
+    return relation, statistic_set, poly, params, summary
 
 
 PREDICATES = [
@@ -69,9 +69,9 @@ class TestLinearQueryCorrespondence:
 
     @pytest.mark.parametrize("spec", PREDICATES)
     def test_estimate_is_model_expectation_of_q(self, model, spec):
-        """``E[⟨q, I⟩] = n · Σ_t q_t p_t`` — the engine must equal the
+        """``E[⟨q, I⟩] = n · Σ_t q_t p_t`` — the summary must equal the
         formal expectation computed from the tuple distribution."""
-        relation, statistic_set, poly, params, engine = model
+        relation, statistic_set, poly, params, summary = model
         predicate = Conjunction(relation.schema, spec)
         query = LinearQuery.from_conjunction(relation.schema, predicate)
         naive = NaivePolynomial(statistic_set)
@@ -79,12 +79,12 @@ class TestLinearQueryCorrespondence:
         formal = statistic_set.total * float(
             np.dot(query.vector, probabilities)
         )
-        estimate = engine.estimate(predicate).expectation
+        estimate = summary.count(predicate).expectation
         assert estimate == pytest.approx(formal, rel=1e-9, abs=1e-9)
 
     def test_sum_query_is_weighted_linear_query(self, model):
         """SUM(B) equals the linear query with coordinates b(t)."""
-        relation, statistic_set, poly, params, engine = model
+        relation, statistic_set, poly, params, summary = model
         naive = NaivePolynomial(statistic_set)
         weights_per_tuple = naive.tuple_indices[:, 1].astype(float)
         query = LinearQuery(relation.schema, weights_per_tuple)
@@ -92,14 +92,14 @@ class TestLinearQueryCorrespondence:
         formal = statistic_set.total * float(
             np.dot(query.vector, probabilities)
         )
-        estimate = engine.sum_estimate(1, np.arange(4, dtype=float))
+        estimate = summary.sum_estimate("B", np.arange(4, dtype=float))
         assert estimate == pytest.approx(formal, rel=1e-9)
 
     def test_group_by_top_k_matches_paper_template(self, model):
         """The paper's 'GROUP BY A ORDER BY cnt DESC LIMIT k' equals
         per-group linear queries, sorted."""
-        relation, statistic_set, poly, params, engine = model
-        grouped = engine.group_by([0])
+        relation, statistic_set, poly, params, summary = model
+        grouped = summary.group_by(["A"])
         linear_answers = {}
         for value in range(3):
             predicate = Conjunction(

@@ -7,6 +7,7 @@ do, including the paper's headline behaviours on small instances.
 import numpy as np
 import pytest
 
+from repro.api import SummaryBuilder
 from repro.baselines.exact import ExactBackend
 from repro.baselines.uniform import uniform_sample
 from repro.core.summary import EntropySummary
@@ -16,7 +17,18 @@ from repro.data.schema import Schema
 from repro.evaluation.metrics import f_measure
 from repro.query.backends import SummaryBackend
 from repro.query.engine import SQLEngine
+from repro.stats.predicates import Conjunction, RangePredicate
 from repro.workloads.selection_queries import light_hitters, nonexistent_values
+
+
+def _point(summary, **indices):
+    """Model estimate of the point query ``∧ attr = index``."""
+    return summary.count(
+        Conjunction(
+            summary.schema,
+            {attr: RangePredicate.point(index) for attr, index in indices.items()},
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -42,18 +54,17 @@ class TestFullyDeterminedModel:
     the model reproduces the exact (s, d) joint distribution."""
 
     def test_point_queries_exact(self, relation):
-        summary = EntropySummary.build(
-            relation,
-            pairs=[("s", "d")],
-            per_pair_budget=32,  # every (s, d) cell gets a statistic
-            max_iterations=100,
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(32)  # every (s, d) cell gets a statistic
+            .iterations(100)
+            .fit()
         )
         truth = relation.contingency("s", "d")
         for s_value in range(4):
             for d_value in range(8):
-                estimate = summary.engine.point_estimate(
-                    {"s": s_value, "d": d_value}
-                )
+                estimate = _point(summary, s=s_value, d=d_value)
                 assert estimate.expectation == pytest.approx(
                     truth[s_value, d_value], abs=0.51
                 )
@@ -64,30 +75,30 @@ class TestCorrelationCorrection:
     correlated point queries — the core EntropyDB value proposition."""
 
     def test_2d_summary_beats_no2d(self, relation):
-        no2d = EntropySummary.build(relation, max_iterations=60)
-        with2d = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=16, max_iterations=60
+        no2d = SummaryBuilder(relation).iterations(60).fit()
+        with2d = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(16)
+            .iterations(60)
+            .fit()
         )
         truth = relation.contingency("s", "d")
         errors = {"no2d": 0.0, "with2d": 0.0}
         for summary, key in ((no2d, "no2d"), (with2d, "with2d")):
             for s_value in range(4):
                 for d_value in range(8):
-                    estimate = summary.engine.point_estimate(
-                        {"s": s_value, "d": d_value}
-                    ).expectation
+                    estimate = _point(summary, s=s_value, d=d_value).expectation
                     errors[key] += abs(estimate - truth[s_value, d_value])
         assert errors["with2d"] < 0.5 * errors["no2d"]
 
     def test_uniform_attribute_needs_no_statistics(self, relation):
-        summary = EntropySummary.build(relation, max_iterations=60)
+        summary = SummaryBuilder(relation).iterations(60).fit()
         truth = relation.contingency("s", "u")
         worst = 0.0
         for s_value in range(4):
             for u_value in range(3):
-                estimate = summary.engine.point_estimate(
-                    {"s": s_value, "u": u_value}
-                ).expectation
+                estimate = _point(summary, s=s_value, u=u_value).expectation
                 worst = max(
                     worst,
                     abs(estimate - truth[s_value, u_value])
@@ -99,8 +110,12 @@ class TestCorrelationCorrection:
 
 class TestSQLAgainstExact:
     def test_sql_pipeline(self, relation):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=16, max_iterations=60
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(16)
+            .iterations(60)
+            .fit()
         )
         approx = SQLEngine(SummaryBackend(summary), table_name="flights")
         exact = SQLEngine(ExactBackend(relation), table_name="flights")
@@ -116,8 +131,12 @@ class TestSQLAgainstExact:
             assert estimate == pytest.approx(truth, rel=0.2, abs=10)
 
     def test_group_by_top_k(self, relation):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=16, max_iterations=60
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(16)
+            .iterations(60)
+            .fit()
         )
         engine = SQLEngine(SummaryBackend(summary), table_name="flights")
         result = engine.execute(
@@ -133,8 +152,12 @@ class TestRareVersusNonexistent:
     better than a small uniform sample."""
 
     def test_f_measure_beats_uniform_sample(self, relation):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=32, max_iterations=100
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(32)
+            .iterations(100)
+            .fit()
         )
         backend = SummaryBackend(summary, rounded=True)
         sample = uniform_sample(relation, fraction=0.02, seed=1)
@@ -156,8 +179,12 @@ class TestRareVersusNonexistent:
 
 class TestPersistenceEndToEnd:
     def test_save_load_same_sql_answers(self, relation, tmp_path):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=8, max_iterations=40
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(8)
+            .iterations(40)
+            .fit()
         )
         summary.save(tmp_path / "model")
         loaded = EntropySummary.load(tmp_path / "model")
@@ -169,8 +196,12 @@ class TestPersistenceEndToEnd:
 
 class TestModelInvariants:
     def test_group_by_partitions_total(self, relation):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=8, max_iterations=40
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(8)
+            .iterations(40)
+            .fit()
         )
         for attrs in (["s"], ["d"], ["s", "u"]):
             grouped = summary.group_by(attrs)
@@ -179,11 +210,13 @@ class TestModelInvariants:
             )
 
     def test_estimates_never_negative(self, relation, rng):
-        summary = EntropySummary.build(
-            relation, pairs=[("s", "d")], per_pair_budget=8, max_iterations=40
+        summary = (
+            SummaryBuilder(relation)
+            .pairs(("s", "d"))
+            .per_pair_budget(8)
+            .iterations(40)
+            .fit()
         )
-        from repro.stats.predicates import Conjunction, RangePredicate
-
         for _ in range(30):
             masks = {}
             for pos, size in enumerate(relation.schema.sizes()):

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.inference import InferenceEngine
 from repro.core.naive import NaivePolynomial
 from repro.core.polynomial import CompressedPolynomial
 from repro.core.solver import MirrorDescentSolver
+from repro.core.summary import EntropySummary
 
-from tests.conftest import relations_with_stats
+from tests.conftest import masked_estimate, relations_with_stats
 
 
 def _fit(statistic_set, max_iterations=250):
@@ -23,6 +23,10 @@ def _fit(statistic_set, max_iterations=250):
     solver = MirrorDescentSolver(poly, max_iterations=max_iterations)
     params, _ = solver.solve()
     return poly, params
+
+
+def _count(summary, masks) -> float:
+    return masked_estimate(summary, masks)[0]
 
 
 class TestFittedModelProperties:
@@ -35,7 +39,7 @@ class TestFittedModelProperties:
         relation, statistic_set = data
         poly, params = _fit(statistic_set, max_iterations=60)
         naive = NaivePolynomial(statistic_set)
-        engine = InferenceEngine(poly, params, statistic_set.total)
+        summary = EntropySummary(statistic_set, poly, params)
         generator = np.random.default_rng(relation.num_rows + 17)
         for _ in range(5):
             masks = {}
@@ -46,7 +50,7 @@ class TestFittedModelProperties:
                         mask[int(generator.integers(size))] = True
                     masks[pos] = mask
             expected = naive.expected_count(params, statistic_set.total, masks)
-            actual = engine.estimate_masks(masks).expectation
+            actual = _count(summary, masks)
             assert actual == pytest.approx(expected, rel=1e-8, abs=1e-6)
 
     @given(relations_with_stats(max_stats=2))
@@ -54,9 +58,9 @@ class TestFittedModelProperties:
     def test_group_by_partitions_cardinality(self, data):
         relation, statistic_set = data
         poly, params = _fit(statistic_set, max_iterations=40)
-        engine = InferenceEngine(poly, params, statistic_set.total)
+        summary = EntropySummary(statistic_set, poly, params)
         for pos in range(poly.schema.num_attributes):
-            grouped = engine.group_by([pos])
+            grouped = summary.group_by([pos])
             total = sum(e.expectation for e in grouped.values())
             assert total == pytest.approx(statistic_set.total, rel=1e-9)
 
@@ -67,7 +71,7 @@ class TestFittedModelProperties:
         (monomials are non-negative)."""
         relation, statistic_set = data
         poly, params = _fit(statistic_set, max_iterations=40)
-        engine = InferenceEngine(poly, params, statistic_set.total)
+        summary = EntropySummary(statistic_set, poly, params)
         generator = np.random.default_rng(seed)
         pos = int(generator.integers(poly.schema.num_attributes))
         size = poly.sizes[pos]
@@ -75,8 +79,8 @@ class TestFittedModelProperties:
         if not narrow.any():
             narrow[0] = True
         wide = narrow | (generator.random(size) > 0.5)
-        narrow_est = engine.estimate_masks({pos: narrow}).expectation
-        wide_est = engine.estimate_masks({pos: wide}).expectation
+        narrow_est = _count(summary, {pos: narrow})
+        wide_est = _count(summary, {pos: wide})
         assert wide_est >= narrow_est - 1e-9
 
     @given(relations_with_stats(max_stats=3))
@@ -86,18 +90,16 @@ class TestFittedModelProperties:
         the fitted model when queried through the public path."""
         relation, statistic_set = data
         poly, params = _fit(statistic_set)
-        engine = InferenceEngine(poly, params, statistic_set.total)
+        summary = EntropySummary(statistic_set, poly, params)
         tolerance = max(2e-3 * statistic_set.total, 0.5)
         for statistic in statistic_set.multi_dim:
             masks = statistic.predicate.attribute_masks()
-            estimate = engine.estimate_masks(masks).expectation
+            estimate = _count(summary, masks)
             assert abs(estimate - statistic.value) < tolerance
 
     @given(relations_with_stats(max_stats=2))
     @settings(max_examples=8)
     def test_save_load_identical_estimates(self, tmp_path_factory, data):
-        from repro.core.summary import EntropySummary
-
         relation, statistic_set = data
         poly, params = _fit(statistic_set, max_iterations=30)
         summary = EntropySummary(statistic_set, poly, params)
@@ -109,6 +111,6 @@ class TestFittedModelProperties:
         mask = generator.random(poly.sizes[pos]) > 0.5
         if not mask.any():
             mask[0] = True
-        original = summary.engine.estimate_masks({pos: mask}).expectation
-        restored = loaded.engine.estimate_masks({pos: mask}).expectation
+        original = _count(summary, {pos: mask})
+        restored = _count(loaded, {pos: mask})
         assert restored == pytest.approx(original, rel=1e-12, abs=1e-12)

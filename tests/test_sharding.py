@@ -29,7 +29,7 @@ from repro.core.sharding import (
     partition_relation,
     shard_prefix,
 )
-from repro.data.domain import integer_domain
+from repro.data.domain import Domain, integer_domain
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.errors import ReproError
@@ -161,7 +161,7 @@ class TestMergeMath:
                     predicate = Conjunction(
                         schema, {attr: RangePredicate(low, high)}
                     )
-                    reference = full_1d.engine.estimate(predicate).expectation
+                    reference = full_1d.count(predicate).expectation
                     merged = sharded_1d.estimate(predicate).expectation
                     assert merged == pytest.approx(reference, rel=0.02, abs=0.5)
 
@@ -178,16 +178,14 @@ class TestMergeMath:
                         "B": RangePredicate(b_low, b_low + 1),
                     },
                 )
-                reference = full_1d.engine.estimate(predicate).expectation
+                reference = full_1d.count(predicate).expectation
                 merged = sharded_1d.estimate(predicate).expectation
                 assert merged == pytest.approx(reference, rel=0.25, abs=2.0)
 
     def test_variances_add(self, relation, sharded_1d):
         predicate = Conjunction(relation.schema, {"A": RangePredicate.point(0)})
         merged = sharded_1d.estimate(predicate)
-        parts = [
-            shard.engine.estimate(predicate) for shard in sharded_1d.shards
-        ]
+        parts = [shard.count(predicate) for shard in sharded_1d.shards]
         assert merged.expectation == pytest.approx(
             sum(part.expectation for part in parts)
         )
@@ -197,7 +195,7 @@ class TestMergeMath:
 
     def test_sum_and_avg_match_unsharded(self, relation, full_1d, sharded_1d):
         weights = np.arange(relation.schema.domain("B").size, dtype=float)
-        reference = full_1d.engine.sum_estimate(1, weights)
+        reference = full_1d.sum_estimate("B", weights)
         merged = sharded_1d.sum_estimate("B", weights)
         assert merged == pytest.approx(reference, rel=0.02)
         assert sharded_1d.avg_estimate("B", weights) == pytest.approx(
@@ -232,21 +230,11 @@ class TestMergeMath:
         ]
         sharded_1d.clear_cache()
         batch = sharded_1d.estimate_batch(predicates)
-        fallback = sharded_1d.estimate_batch(
-            predicates, parallel=False, use_arena=False
-        )
-        threaded = sharded_1d.estimate_batch(
-            predicates, parallel=True, use_arena=False
-        )
-        for predicate, merged, per_shard, via_threads in zip(
-            predicates, batch, fallback, threaded
-        ):
+        sharded_1d.clear_cache()
+        for predicate, merged in zip(predicates, batch):
             single = sharded_1d.estimate(predicate)
             assert merged.expectation == pytest.approx(single.expectation)
             assert merged.variance == pytest.approx(single.variance)
-            assert per_shard.expectation == pytest.approx(single.expectation)
-            assert per_shard.variance == pytest.approx(single.variance)
-            assert via_threads.expectation == pytest.approx(single.expectation)
 
     @settings(max_examples=8, deadline=None)
     @given(data=relations(max_rows=120), seed=st.integers(0, 10_000))
@@ -264,7 +252,7 @@ class TestMergeMath:
         low = int(rng.integers(0, size))
         high = int(rng.integers(low, size))
         predicate = Conjunction(data.schema, {attr: RangePredicate(low, high)})
-        reference = full.engine.estimate(predicate).expectation
+        reference = full.count(predicate).expectation
         merged = sharded.estimate(predicate).expectation
         assert merged == pytest.approx(reference, rel=0.02, abs=0.5)
 
@@ -279,22 +267,20 @@ class TestPruning:
         return _fit(relation, num_shards=2, by="B")
 
     def test_point_query_touches_one_shard(self, relation, by_sharded):
-        # The legacy per-shard path materializes pruning as "engine never
-        # called"; the arena folds owned ranges into the masks instead
-        # (covered by tests/test_arena.py).
-        by_sharded.clear_cache()
+        # The arena folds owned ranges into the masks, so the shards
+        # that do not own B=0 contribute an exact zero.
         predicate = Conjunction(relation.schema, {"B": RangePredicate.point(0)})
-        by_sharded.estimate(predicate, use_arena=False)
-        touched = [
-            shard.engine.cache_misses > 0 for shard in by_sharded.shards
-        ]
-        assert touched.count(True) == 1
+        assert by_sharded.live_shards(predicate) == [0]
+        owner = by_sharded.shards[0].count(predicate)
+        merged = by_sharded.estimate(predicate)
+        assert merged.expectation == pytest.approx(owner.expectation, rel=1e-12)
+        assert merged.variance == pytest.approx(owner.variance, rel=1e-12)
 
     def test_pruned_shards_contribute_zero(self, relation, full_1d, by_sharded):
         schema = relation.schema
         for value in range(schema.domain("B").size):
             predicate = Conjunction(schema, {"B": RangePredicate.point(value)})
-            reference = full_1d.engine.estimate(predicate).expectation
+            reference = full_1d.count(predicate).expectation
             merged = by_sharded.estimate(predicate).expectation
             assert merged == pytest.approx(reference, rel=0.02, abs=0.5)
 
@@ -313,6 +299,37 @@ class TestPruning:
         assert sum(e.expectation for e in grouped.values()) == pytest.approx(
             by_sharded.total, rel=0.02
         )
+
+
+class TestGroupLabels:
+    """GROUP BY keys by domain labels on every summary kind, so any
+    label a sharded summary emits can be queried back."""
+
+    @pytest.fixture(scope="class")
+    def labeled(self):
+        schema = Schema(
+            [Domain("state", ["CA", "NY", "WA"]), integer_domain("hour", 4)]
+        )
+        rng = np.random.default_rng(5)
+        return Relation(
+            schema, [rng.integers(0, 3, 300), rng.integers(0, 4, 300)]
+        )
+
+    @pytest.mark.parametrize("by", [None, "state"])
+    def test_sharded_group_by_matches_unsharded_labels(self, labeled, by):
+        full = _fit(labeled, iterations=20)
+        sharded = _fit(labeled, num_shards=2, by=by, iterations=20)
+        expected = {("CA",), ("NY",), ("WA",)}
+        assert set(full.group_by(["state"])) == expected
+        assert set(sharded.group_by(["state"])) == expected
+        session = Explorer.attach(sharded)
+        rows = session.sql("SELECT state, COUNT(*) FROM R GROUP BY state").rows
+        for row in rows:
+            (label,) = row.labels
+            point = session.sql(
+                f"SELECT COUNT(*) FROM R WHERE state = '{label}'"
+            ).scalar
+            assert row.count == pytest.approx(point, rel=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,35 @@ class TestCodec:
         with pytest.raises(wire.WireError, match="unknown codec tag"):
             wire.unpackb(b"Z")
 
+    def test_invalid_utf8_value_rejected(self):
+        body = b"s" + struct.pack(">I", 2) + b"\xff\xfe"
+        with pytest.raises(wire.WireError, match="UTF-8"):
+            wire.unpackb(body)
+
+    def test_invalid_utf8_key_rejected(self):
+        body = (
+            b"m" + struct.pack(">I", 1)
+            + b"s" + struct.pack(">I", 1) + b"\xc3"
+            + b"N"
+        )
+        with pytest.raises(wire.WireError, match="UTF-8"):
+            wire.unpackb(body)
+
+    def test_deep_nesting_rejected(self):
+        # 5,000 nested one-item lists: 25 KB, far past the depth cap.
+        body = (b"l" + struct.pack(">I", 1)) * 5_000 + b"N"
+        with pytest.raises(wire.WireError, match="nests deeper"):
+            wire.unpackb(body)
+        nested = (b"m" + struct.pack(">I", 1) + b"s" + struct.pack(">I", 1) + b"k")
+        with pytest.raises(wire.WireError, match="nests deeper"):
+            wire.unpackb(nested * (wire.MAX_DEPTH + 1) + b"N")
+
+    def test_nesting_up_to_the_cap_decodes(self):
+        value = None
+        for _ in range(wire.MAX_DEPTH):
+            value = [value]
+        assert wire.unpackb(wire.packb(value)) == value
+
 
 _scalars = st.one_of(
     st.none(),
@@ -452,6 +481,37 @@ class TestServerBinary:
             opcode, reply_id, payload = _recv_frame(sock)
             assert opcode == wire.OP_REPLY
             assert wire.split_trace_hint(reply_id)[0] == 9
+            assert payload["result"] == "pong"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"m" + struct.pack(">I", 1) + b"s" + struct.pack(">I", 2) + b"op"
+            + b"s" + struct.pack(">I", 2) + b"\xff\xfe",
+            b"m" + struct.pack(">I", 1) + b"s" + struct.pack(">I", 1) + b"\xc3"
+            + b"N",
+            (b"l" + struct.pack(">I", 1)) * 5_000 + b"N",
+        ],
+        ids=["bad-utf8-value", "bad-utf8-key", "deep-nesting"],
+    )
+    def test_undecodable_body_answers_400_and_pipeline_continues(
+        self, running, body
+    ):
+        bad = struct.Struct(">2sBBIq").pack(
+            wire.MAGIC, wire.WIRE_VERSION, wire.OP_REQUEST, len(body), 11
+        ) + body
+        with socket.create_connection(
+            ("127.0.0.1", running.port), timeout=10
+        ) as sock:
+            # The valid request is pipelined behind the bad frame in the
+            # same write: it must still be answered.
+            sock.sendall(bad + wire.encode_request({"op": "ping"}, 12))
+            opcode, request_id, payload = _recv_frame(sock)
+            assert (opcode, request_id) == (wire.OP_ERROR, 11)
+            assert payload["status"] == 400
+            opcode, reply_id, payload = _recv_frame(sock)
+            assert opcode == wire.OP_REPLY
+            assert wire.split_trace_hint(reply_id)[0] == 12
             assert payload["result"] == "pong"
 
     def test_json_and_binary_clients_interleave_on_one_port(self, running):

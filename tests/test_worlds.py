@@ -111,13 +111,14 @@ class TestSequentialSampling:
 class TestEmpiricalDistribution:
     def test_matches_closed_form_moments(self, fitted_model):
         statistic_set, poly, params = fitted_model
-        from repro.core.inference import InferenceEngine
+        from repro.core.summary import EntropySummary
+        from tests.conftest import masked_estimate
 
-        engine = InferenceEngine(poly, params, statistic_set.total)
+        summary = EntropySummary(statistic_set, poly, params)
         masks = {0: np.array([True, True, False, False])}
-        estimate = engine.estimate_masks(masks)
+        expectation, variance = masked_estimate(summary, masks)
         answers = empirical_query_distribution(
             statistic_set, params, masks, num_worlds=4000, rng=5
         )
-        assert answers.mean() == pytest.approx(estimate.expectation, rel=0.05)
-        assert answers.var() == pytest.approx(estimate.variance, rel=0.25)
+        assert answers.mean() == pytest.approx(expectation, rel=0.05)
+        assert answers.var() == pytest.approx(variance, rel=0.25)
